@@ -37,7 +37,6 @@ from .data.paper_example import figure1_ordering, figure1_relation
 from .index.inverted import InvertedIndex
 from .index.snapshot import load_index, save_index
 from .core.ordering import DiversityOrdering
-from .parallel import UnsupportedWorkerModeError
 from .query.parser import QueryParseError, parse_query
 from .resilience import (
     ChaosPolicy,
@@ -295,15 +294,7 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="worker-pool size for the sharded fan-out (0 = sequential)",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        choices=["thread", "process", "fork", "spawn"],
-        default="thread",
-        help="fan-out backend for the gather algorithms: 'thread' (GIL-"
-        "bound), 'process' (real OS processes; picks fork where the "
-        "platform has it, else spawn), or an explicit 'fork'/'spawn'",
+        help="thread-pool size for the sharded fan-out (0 = sequential)",
     )
     resilience = parser.add_argument_group(
         "resilience (sharded deployments)",
@@ -441,11 +432,6 @@ def _make_engine(index, args) -> DiversityEngine:
         print("--replicas needs a sharded deployment (--shards >= 2)",
               file=sys.stderr)
         raise SystemExit(2)
-    if replicas > 1 and getattr(args, "worker_mode", "thread") != "thread":
-        print("--worker-mode process/fork/spawn cannot serve a replicated "
-              "deployment (--replicas >= 2); use --worker-mode thread",
-              file=sys.stderr)
-        raise SystemExit(2)
     if shards > 1:
         # Re-partition the loaded single index: snapshots store one index,
         # sharding is a deployment decision made at serve time.
@@ -460,16 +446,11 @@ def _make_engine(index, args) -> DiversityEngine:
         if replicas > 1:
             index.replicate(replicas, policy=policy, hedge=_hedge_from_args(args))
         engine: DiversityEngine = ShardedEngine(
-            index, workers=getattr(args, "workers", 0),
-            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
+            index, workers=getattr(args, "workers", 0), policy=policy
         )
         chaos = _chaos_from_args(args)
         if chaos is not None:
-            try:
-                engine.inject_chaos(chaos)
-            except UnsupportedWorkerModeError as error:
-                print(str(error), file=sys.stderr)
-                raise SystemExit(2) from None
+            engine.inject_chaos(chaos)
     else:
         engine = DiversityEngine(index)
     _attach_cache(engine, args)
@@ -584,16 +565,11 @@ def _recover_engine(data_dir: Path, args) -> DiversityEngine:
             recovered.replicate(replicas, policy=policy,
                                 hedge=_hedge_from_args(args))
         engine = ShardedEngine(
-            recovered, workers=getattr(args, "workers", 0),
-            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
+            recovered, workers=getattr(args, "workers", 0), policy=policy
         )
         chaos = _chaos_from_args(args)
         if chaos is not None:
-            try:
-                engine.inject_chaos(chaos)
-            except UnsupportedWorkerModeError as error:
-                print(str(error), file=sys.stderr)
-                raise SystemExit(2) from None
+            engine.inject_chaos(chaos)
     _attach_cache(engine, args)
     return engine
 

@@ -66,8 +66,7 @@ class WorkloadTiming:
     cache_evictions: int = 0
     cache_epoch_invalidations: int = 0
     shards: int = 1                  # index partitions (1 = unsharded)
-    workers: int = 0                 # fan-out worker pool (0 = sequential)
-    worker_mode: str = "thread"      # fan-out backend (thread/fork/spawn)
+    workers: int = 0                 # fan-out thread pool (0 = sequential)
 
     @property
     def mean_ms(self) -> float:
@@ -305,7 +304,6 @@ def run_sharded_workload(
         queries_issued=issued,
         shards=getattr(engine, "num_shards", 1),
         workers=getattr(engine, "workers", 0),
-        worker_mode=getattr(engine, "resolved_worker_mode", "thread"),
     )
 
 
@@ -372,7 +370,6 @@ def run_chaos_workload(
         queries_issued=issued,
         shards=getattr(engine, "num_shards", 1),
         workers=getattr(engine, "workers", 0),
-        worker_mode=getattr(engine, "resolved_worker_mode", "thread"),
         degraded_queries=degraded,
         failed_queries=failed,
         retries=retries,

@@ -24,7 +24,7 @@ import asyncio
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..observability import MONOTONIC, Clock, get_registry
 from .admission import AdmissionController, Ticket
@@ -61,6 +61,10 @@ class ServerConfig:
     idle_timeout_s: float = 30.0       # keep-alive read timeout
 
 
+#: Seconds a closed connection may take to flush before it is aborted.
+CLOSE_GRACE_S = 2.0
+
+
 class ReproServer:
     """The asyncio HTTP front-end over one serving engine.
 
@@ -85,7 +89,8 @@ class ReproServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: list = []
-        self._connections: Set[asyncio.StreamWriter] = set()
+        # Open connections and the handler task serving each.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._drained = asyncio.Event()
         self._drain_started = False
         self.admission = AdmissionController(
@@ -130,7 +135,7 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -167,7 +172,7 @@ class ReproServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             try:
                 writer.close()
             except Exception:
@@ -253,13 +258,34 @@ class ReproServer:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        for writer in list(self._connections):
+        await self._close_connections()
+        self._drained.set()
+
+    async def _close_connections(self) -> None:
+        """End every handler by EOF rather than by cancellation.
+
+        Closing the transport wakes a handler parked in ``read_request``
+        with a clean EOF, and it returns on its own.  Left pending, the
+        handler would be cancelled when the loop shuts down, and asyncio's
+        stream callback then prints a ``CancelledError`` traceback.  A
+        peer that stops reading keeps a closing transport open while its
+        unsent bytes wait, so stragglers are aborted after a grace period.
+        """
+        connections = dict(self._connections)
+        for writer in connections:
             try:
                 writer.close()
             except Exception:
                 pass
-        self._connections.clear()
-        self._drained.set()
+        handlers = set(connections.values())
+        if not handlers:
+            return
+        _, stuck = await asyncio.wait(handlers, timeout=CLOSE_GRACE_S)
+        if stuck:
+            for writer, handler in connections.items():
+                if handler in stuck:
+                    writer.transport.abort()
+            await asyncio.wait(stuck)
 
 
 def run_server(serving, config: Optional[ServerConfig] = None,

@@ -159,7 +159,6 @@ class ServingEngine:
         shards: int = 1,
         router="hash",
         workers: int = 0,
-        worker_mode: str = "thread",
         policy=None,
         data_dir=None,
         snapshot_every: int = 0,
@@ -196,27 +195,12 @@ class ServingEngine:
         if replicas > 1 and shards <= 1:
             raise ValueError("replication needs a sharded deployment "
                              "(shards > 1)")
-        if replicas > 1:
-            from ..parallel import (
-                PROCESS_MODES,
-                UnsupportedWorkerModeError,
-                resolve_worker_mode,
-            )
-
-            if resolve_worker_mode(worker_mode) in PROCESS_MODES:
-                raise UnsupportedWorkerModeError(
-                    f"worker_mode={worker_mode!r} cannot serve a replicated "
-                    f"deployment (replicas={replicas}): failover and hedging "
-                    f"are coordinator-side state that worker processes "
-                    f"cannot mirror; use worker_mode='thread'"
-                )
         if shards > 1:
             from ..sharding import ShardedEngine
 
             engine = ShardedEngine.from_relation(
                 relation, ordering, shards=shards, backend=backend,
-                router=router, workers=workers, worker_mode=worker_mode,
-                policy=policy, clock=clock,
+                router=router, workers=workers, policy=policy, clock=clock,
             )
             if data_dir is not None:
                 from ..durability import create_sharded_store
@@ -250,7 +234,6 @@ class ServingEngine:
         cls,
         data_dir,
         workers: int = 0,
-        worker_mode: str = "thread",
         policy=None,
         snapshot_every: Optional[int] = None,
         fsync_every: Optional[int] = None,
@@ -287,25 +270,12 @@ class ServingEngine:
 
                 replicas = int(read_manifest(data_dir).get("replicas", 1))
             if replicas > 1:
-                from ..parallel import (
-                    PROCESS_MODES,
-                    UnsupportedWorkerModeError,
-                    resolve_worker_mode,
-                )
-
-                if resolve_worker_mode(worker_mode) in PROCESS_MODES:
-                    raise UnsupportedWorkerModeError(
-                        f"worker_mode={worker_mode!r} cannot serve a "
-                        f"replicated deployment (replicas={replicas}); use "
-                        f"worker_mode='thread'"
-                    )
                 from ..replication import HedgePolicy
 
                 hedge = (HedgePolicy(delay_ms=hedge_ms)
                          if hedge_ms is not None else None)
                 recovered.replicate(replicas, policy=policy, hedge=hedge)
-            engine = ShardedEngine(recovered, workers=workers,
-                                   worker_mode=worker_mode, policy=policy)
+            engine = ShardedEngine(recovered, workers=workers, policy=policy)
         if cache is None and cache_options:
             cache = ServingCache(**cache_options)
         return cls(engine, cache)

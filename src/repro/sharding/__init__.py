@@ -10,9 +10,8 @@ unsharded engine:
   one global Dewey assignment, behind the single-index read protocol.
 * :mod:`~repro.sharding.merge` — the diverse-merge step: Definitions 1-2
   re-applied to the union of per-shard diverse top-k candidates.
-* :mod:`~repro.sharding.engine` — the fan-out engine (sequential,
-  persistent thread-pool, or — for the gather algorithms — a
-  :mod:`repro.parallel` process pool that sidesteps the GIL),
+* :mod:`~repro.sharding.engine` — the fan-out engine (sequential, or on
+  a persistent thread pool that lets a deadline drop a slow shard),
   cache-compatible with the serving layer and failure-aware via
   :mod:`repro.resilience` (deadlines, retries, circuit breakers,
   survivor-only degraded answers for the gather algorithms).

@@ -7,9 +7,11 @@ unsharded engine:
 
 * **Scatter-gather** (``naive``, and unscored ``basic``): the query fans
   out to all shards — sequentially or on a persistent thread pool
-  (``workers``) — each shard computes its *local* diverse top-k (the
-  canonical Definitions 1-2 selection over its rows), and the coordinator
-  re-applies Definitions 1-2 to the union (:mod:`repro.sharding.merge`).
+  (``workers``; under the GIL the pool buys no CPU speedup, but a shard
+  still running at the deadline can be dropped) — each shard computes its
+  *local* diverse top-k (the canonical Definitions 1-2 selection over its
+  rows), and the coordinator re-applies Definitions 1-2 to the union
+  (:mod:`repro.sharding.merge`).
   Subtree co-location + the shared Dewey space make each shard's answer a
   superset of its contribution to the global answer, so the merge is exact.
 
@@ -66,18 +68,6 @@ from ..core.result import DiverseResult
 from ..index.merged import MergedList
 from ..index.postings import ARRAY_BACKEND
 from ..observability import MONOTONIC, Clock, get_registry, span
-from ..observability.spans import SPAN_DURATION_METRIC, SpanRecord
-from ..parallel import (
-    CRASHED,
-    DEADLINE,
-    OK,
-    PROCESS_MODES,
-    STALE,
-    ProcessShardPool,
-    UnsupportedWorkerModeError,
-    WORKER_MODES,
-    resolve_worker_mode,
-)
 from ..query.parser import parse_query
 from ..query.query import Query
 from ..query.rewrite import normalise
@@ -285,7 +275,6 @@ class ShardedEngine(DiversityEngine):
         index: ShardedIndex,
         cache=None,
         workers: int = 0,
-        worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
@@ -295,15 +284,6 @@ class ShardedEngine(DiversityEngine):
             raise ValueError("workers must be >= 0")
         super().__init__(index, cache=cache, registry=registry)
         self._workers = workers
-        self._worker_mode = worker_mode
-        self._resolved_mode = resolve_worker_mode(worker_mode)
-        if (self._resolved_mode in PROCESS_MODES
-                and index.replication_factor > 1):
-            raise UnsupportedWorkerModeError(
-                "process workers cannot fan out over a replicated deployment "
-                "(replica failover is coordinator-side state); use "
-                "worker_mode='thread' with replicas > 1"
-            )
         self._policy = policy if policy is not None else DEFAULT_POLICY
         # One clock drives deadlines, breakers and backoff alike (and one
         # injectable sleep serves the backoff waits), so a FakeClock fakes
@@ -320,7 +300,6 @@ class ShardedEngine(DiversityEngine):
         self._retry_rng = random.Random(self._policy.seed)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_width = 0
-        self._process_pool: Optional[ProcessShardPool] = None
         self._close_lock = threading.Lock()
         self._closed = False
         self._collector = _register_health_collector(self._metrics(), self)
@@ -336,7 +315,6 @@ class ShardedEngine(DiversityEngine):
         router: Union[str, ShardRouter] = "hash",
         cache=None,
         workers: int = 0,
-        worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
@@ -348,17 +326,8 @@ class ShardedEngine(DiversityEngine):
         ``replicas`` > 1 grows every shard to that many bit-identical
         copies behind automatic failover; ``hedge_ms`` additionally arms
         hedged reads with that cold-start delay (see
-        :mod:`repro.replication`).  ``worker_mode`` picks the fan-out
-        backend for the gather algorithms: ``"thread"`` (the GIL-bound
-        default), or ``"process"``/``"fork"``/``"spawn"`` for true
-        process parallelism (:mod:`repro.parallel`) — incompatible with
-        ``replicas`` > 1 and with chaos injection, both rejected loudly.
+        :mod:`repro.replication`).
         """
-        if replicas > 1 and resolve_worker_mode(worker_mode) in PROCESS_MODES:
-            raise UnsupportedWorkerModeError(
-                "process workers cannot fan out over a replicated "
-                "deployment; use worker_mode='thread' with replicas > 1"
-            )
         index = ShardedIndex.build(
             relation, ordering, shards=shards, backend=backend, router=router
         )
@@ -367,8 +336,7 @@ class ShardedEngine(DiversityEngine):
 
             hedge = HedgePolicy(delay_ms=hedge_ms) if hedge_ms is not None else None
             index.replicate(replicas, policy=policy, clock=clock, hedge=hedge)
-        return cls(index, cache=cache, workers=workers,
-                   worker_mode=worker_mode, policy=policy,
+        return cls(index, cache=cache, workers=workers, policy=policy,
                    clock=clock, sleep=sleep)
 
     # ------------------------------------------------------------------
@@ -393,11 +361,6 @@ class ShardedEngine(DiversityEngine):
             self._pool_width = 0
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-            process_pool, self._process_pool = self._process_pool, None
-            if process_pool is not None:
-                # Joins every worker (terminate after a bounded grace),
-                # including after a failed fan-out left the pool broken.
-                process_pool.close()
             for shard in self._index.shards:
                 # Release replica-set hedge pools; the replicas themselves
                 # (and their WALs) belong to the serving layer's close.
@@ -428,28 +391,6 @@ class ShardedEngine(DiversityEngine):
             self._pool_width = width
         return self._pool
 
-    def _ensure_process_pool(self) -> ProcessShardPool:
-        pool = self._process_pool
-        if pool is not None and not pool.matches(
-            self._workers, self._resolved_mode, self.num_shards
-        ):
-            # Worker config or topology changed: tear down and start over.
-            pool.close()
-            pool = self._process_pool = None
-        if pool is None:
-            pool = ProcessShardPool(
-                self._index, self._workers, self._resolved_mode,
-                registry=self._metrics(),
-            )
-            self._process_pool = pool
-        elif pool.stale():
-            # The index mutated (or a worker died) since the replicas were
-            # built: re-bootstrap at the current epoch *before* fanning
-            # out, so the common path never round-trips a stale answer.
-            reason = "worker-loss" if pool.broken else "epoch-drift"
-            pool.rebuild(reason)
-        return pool
-
     def _push_worker_budget(self) -> None:
         """Publish the engine's worker budget to the index and its replica
         sets, so hedge pools derive their width from it (never a width
@@ -470,9 +411,8 @@ class ShardedEngine(DiversityEngine):
     def set_workers(self, workers: int) -> None:
         """Re-size the fan-out worker budget at runtime.
 
-        The thread and process pools are lazily rebuilt at the new width
-        on the next fan-out; replica-set hedge pools re-derive theirs
-        immediately.
+        The thread pool is lazily rebuilt at the new width on the next
+        fan-out; replica-set hedge pools re-derive theirs immediately.
         """
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -495,17 +435,6 @@ class ShardedEngine(DiversityEngine):
         return self._workers
 
     @property
-    def worker_mode(self) -> str:
-        """The configured fan-out backend (as passed: ``process`` stays
-        ``process``; see :attr:`resolved_worker_mode` for the concrete one)."""
-        return self._worker_mode
-
-    @property
-    def resolved_worker_mode(self) -> str:
-        """The concrete backend: ``thread``, ``fork`` or ``spawn``."""
-        return self._resolved_mode
-
-    @property
     def policy(self) -> ResiliencePolicy:
         return self._policy
 
@@ -522,16 +451,6 @@ class ShardedEngine(DiversityEngine):
     # ------------------------------------------------------------------
     def inject_chaos(self, chaos: ChaosPolicy) -> ChaosPolicy:
         """Make shard reads fail per ``chaos`` (tests/benchmarks/CLI)."""
-        if self._uses_process_fanout():
-            # Worker replicas answer the gather fan-out, and a fault plan
-            # injected here would never reach them — the experiment would
-            # silently run fault-free.  Refuse instead.
-            raise UnsupportedWorkerModeError(
-                f"chaos injection is not supported with process workers "
-                f"(worker_mode={self._worker_mode!r}): injected faults "
-                f"would never reach the worker replicas; use "
-                f"worker_mode='thread' for chaos experiments"
-            )
         # Latency injection sleeps on the engine's injectable sleep, so a
         # FakeClock-driven test fakes chaos delays too (no real blocking).
         chaos.bind_sleep(self._sleep)
@@ -823,32 +742,16 @@ class ShardedEngine(DiversityEngine):
                     shard_id, value=value, ok=True, retries=attempts
                 )
 
-    def _uses_process_fanout(self) -> bool:
-        return (
-            self._resolved_mode in PROCESS_MODES
-            and self._workers > 1
-            and self.num_shards > 1
-        )
-
-    def _scatter(self, task, request=None) -> List[ShardOutcome]:
+    def _scatter(self, task) -> List[ShardOutcome]:
         """Fan ``task(shard)`` out to every shard under the policy.
 
         Returns one outcome per shard (shard order).  Raises only on total
         loss: :class:`DeadlineExceededError` when the deadline killed every
         shard, :class:`ShardUnavailableError` when no shard survived for
         any other mix of reasons.
-
-        ``request`` is the wire form of the task — ``(algorithm, k,
-        scored, query)`` — for the process backend, which cannot ship a
-        closure; the gather executors pass both, and the scatter picks
-        the path the engine's ``worker_mode`` configures.
         """
-        process = request is not None and self._uses_process_fanout()
         with span("shard.scatter", registry=self._registry,
-                  shards=self.num_shards, workers=self._workers,
-                  mode=self._resolved_mode if process else "thread"):
-            if process:
-                return self._scatter_process(request)
+                  shards=self.num_shards, workers=self._workers):
             return self._scatter_inner(task)
 
     def _scatter_inner(self, task) -> List[ShardOutcome]:
@@ -897,115 +800,16 @@ class ShardedEngine(DiversityEngine):
                 self._run_shard_task(shard_id, shard, task, deadline)
                 for shard_id, shard in enumerate(shards)
             ]
-        self._check_total_loss(ordered, deadline)
-        return ordered
-
-    def _check_total_loss(self, outcomes: List[ShardOutcome], deadline) -> None:
-        if not any(outcome.ok for outcome in outcomes):
-            if all(outcome.reason == "deadline" for outcome in outcomes):
+        if not any(outcome.ok for outcome in ordered):
+            if all(outcome.reason == "deadline" for outcome in ordered):
                 raise DeadlineExceededError(
                     self._policy.deadline_ms or 0.0, deadline.elapsed_ms()
                 )
             raise ShardUnavailableError(
-                {outcome.shard_id: outcome.reason for outcome in outcomes},
+                {outcome.shard_id: outcome.reason for outcome in ordered},
                 self.num_shards,
             )
-
-    def _scatter_process(self, request) -> List[ShardOutcome]:
-        """Process-backend fan-out: ship (query, k, algorithm, epoch) to
-        the worker pool and classify each shard's reply.
-
-        The stale path is two-level: the engine rebuilds a pool whose
-        built epochs drifted *before* fanning out (:meth:`_ensure_process_pool`),
-        and any worker that still answers ``stale`` (its replica raced a
-        mutation) triggers one rebuild-and-retry; a shard stale even then
-        degrades rather than merging the wrong epoch's candidates.
-        """
-        algorithm, k, scored, query = request
-        deadline = self._deadline()
-        pool = self._ensure_process_pool()
-        responses = pool.fanout(
-            query, k, algorithm, scored, self._index.shard_epochs(), deadline
-        )
-        if any(status == STALE for status, _, _ in responses.values()):
-            self._count_stale(responses)
-            pool.rebuild("stale-answer")
-            responses = pool.fanout(
-                query, k, algorithm, scored, self._index.shard_epochs(), deadline
-            )
-            if any(status == STALE for status, _, _ in responses.values()):
-                self._count_stale(responses)
-        registry = self._metrics()
-        health = self._health
-        outcomes: List[ShardOutcome] = []
-        for shard_id in range(self.num_shards):
-            status, value, elapsed_ms = responses.get(
-                shard_id, (CRASHED, "no reply", 0.0)
-            )
-            registry.counter(
-                "repro_parallel_tasks_total",
-                "Process-worker shard tasks, by outcome",
-                outcome=status,
-            ).inc()
-            if status == OK:
-                self._record_worker_span(
-                    registry, shard_id, pool.worker_of(shard_id), elapsed_ms
-                )
-                health.record_admitted(shard_id)
-                health.record_success(shard_id)
-                outcomes.append(ShardOutcome(shard_id, value=value, ok=True))
-            elif status == DEADLINE:
-                health.record_deadline_drop(shard_id)
-                outcomes.append(ShardOutcome(shard_id, reason="deadline"))
-            elif status == STALE:
-                # Not a shard fault — a pool-lifecycle race.  The shard is
-                # dropped from this answer (degraded) without charging its
-                # breaker; the pool already rebuilt for the next query.
-                outcomes.append(ShardOutcome(shard_id, reason="stale epoch"))
-            else:
-                health.record_hard(shard_id)
-                reason = "crashed" if status == CRASHED else "error"
-                outcomes.append(ShardOutcome(shard_id, reason=reason))
-        self._check_total_loss(outcomes, deadline)
-        return outcomes
-
-    def _count_stale(self, responses) -> None:
-        stale = sum(
-            1 for status, _, _ in responses.values() if status == STALE
-        )
-        self._metrics().counter(
-            "repro_parallel_stale_rejected_total",
-            "Worker answers rejected by the epoch fence",
-        ).inc(stale)
-
-    @staticmethod
-    def _record_worker_span(registry, shard_id: int, worker: int,
-                            elapsed_ms: float) -> None:
-        """Publish one worker task as a span record + duration histogram.
-
-        The duration was measured *inside* the worker process, so the
-        record is materialised directly instead of bracketing coordinator
-        code with :class:`span` (which would time pipe waiting, not work).
-        """
-        if not registry.enabled:
-            return
-        record = SpanRecord(
-            name="shard.worker",
-            duration_ms=elapsed_ms,
-            parent="shard.scatter",
-            fields={"shard": shard_id, "worker": worker},
-        )
-        registry.record_span(record)
-        registry.histogram(
-            SPAN_DURATION_METRIC,
-            help="Wall duration of instrumented pipeline spans",
-            span="shard.worker",
-        ).observe(elapsed_ms)
-        registry.histogram(
-            "repro_parallel_task_ms",
-            "Per-task worker compute time (measured worker-side)",
-            worker=str(worker),
-        ).observe(elapsed_ms)
+        return ordered
 
     def _execute_gather_naive(
         self, query: Query, k: int, scored: bool
@@ -1024,7 +828,7 @@ class ShardedEngine(DiversityEngine):
                 local = diverse_subset(baselines.collect_all(merged), k)
             return local, merged.next_calls, merged.scored_next_calls
 
-        outcomes = self._scatter(local_topk, request=("naive", k, scored, query))
+        outcomes = self._scatter(local_topk)
         gathered = [outcome.value for outcome in outcomes if outcome.ok]
         candidates = [local for local, _, _ in gathered]
         stats = self._gather_stats(gathered, candidates)
@@ -1045,7 +849,7 @@ class ShardedEngine(DiversityEngine):
             local = baselines.basic_unscored(merged, k)
             return local, merged.next_calls, merged.scored_next_calls
 
-        outcomes = self._scatter(local_firstk, request=("basic", k, False, query))
+        outcomes = self._scatter(local_firstk)
         gathered = [outcome.value for outcome in outcomes if outcome.ok]
         candidates = [local for local, _, _ in gathered]
         stats = self._gather_stats(gathered, candidates)

@@ -2,9 +2,9 @@
 
 Covers the building blocks in isolation (error taxonomy, policy/backoff,
 deadline, circuit breaker, chaos injection, the FaultyShard proxy) and the
-engine-level satellites: persistent thread-pool lifecycle, typed-error
-propagation out of batched fan-outs, and the cache's behaviour when
-queries fail or degrade.
+engine-level satellites: persistent thread-pool lifecycle and widths
+(fan-out and replica hedge pools), typed-error propagation out of batched
+fan-outs, and the cache's behaviour when queries fail or degrade.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import random
 import pytest
 
 from repro import DiversityEngine, ServingCache, ServingEngine
+from repro.data.paper_example import figure1_ordering, figure1_relation
+from repro.replication.replica_set import ReplicaSet
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -30,9 +32,9 @@ from repro.resilience import (
     ShardUnavailableError,
     TransientShardError,
 )
-from repro.sharding import ShardedEngine
+from repro.sharding import ShardedEngine, ShardedIndex
 
-from .conftest import RANDOM_ORDERING, random_relation
+from .conftest import RANDOM_ORDERING, random_query, random_relation
 
 
 class FakeClock:
@@ -335,6 +337,115 @@ def test_plain_engine_close_is_noop():
     with DiversityEngine.from_relation(relation, RANDOM_ORDERING) as engine:
         engine.search("make = 'A'", 3)
     engine.search("make = 'A'", 3)  # still fine after close
+
+
+# ----------------------------------------------------------------------
+# Pool widths track the live configuration; teardown after failure
+# ----------------------------------------------------------------------
+class TestThreadPoolWidth:
+    def test_pool_width_is_min_of_workers_and_shards(self):
+        with ShardedEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2, workers=8
+        ) as engine:
+            pool = engine._ensure_pool()
+            assert pool._max_workers == 2
+            assert engine._pool_width == 2
+
+    def test_set_workers_rebuilds_the_pool_at_the_new_width(self):
+        """Regression: the pool was sized once at first use and never
+        resized, so a later ``set_workers`` silently kept the old width."""
+        with ShardedEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=4, workers=2
+        ) as engine:
+            first = engine._ensure_pool()
+            assert first._max_workers == 2
+            engine.set_workers(4)
+            second = engine._ensure_pool()
+            assert second is not first
+            assert second._max_workers == 4
+            # And back down again.
+            engine.set_workers(3)
+            assert engine._ensure_pool()._max_workers == 3
+
+    def test_unchanged_width_reuses_the_pool(self):
+        with ShardedEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=4, workers=2
+        ) as engine:
+            assert engine._ensure_pool() is engine._ensure_pool()
+
+    def test_set_workers_rejects_negative(self):
+        with ShardedEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2, workers=2
+        ) as engine:
+            with pytest.raises(ValueError):
+                engine.set_workers(-1)
+
+
+# Hedge-pool width derives from the engine's worker budget.
+class TestHedgePoolWidth:
+    def test_no_budget_keeps_the_legacy_width(self):
+        assert ReplicaSet.derive_pool_width(1, 4, 0) == 2
+        assert ReplicaSet.derive_pool_width(2, 4, 0) == 3
+        assert ReplicaSet.derive_pool_width(3, 4, 0) == 4
+        assert ReplicaSet.derive_pool_width(9, 4, 0) == 4  # legacy cap
+
+    def test_budget_share_caps_at_replica_count_plus_hedge(self):
+        # 16 workers over 2 shards: an 8-wide share, but 2 replicas only
+        # ever race 3 legs.
+        assert ReplicaSet.derive_pool_width(2, 2, 16) == 3
+
+    def test_small_budget_floors_at_two_legs(self):
+        # 1 worker over 4 shards: a hedge still needs a racer.
+        assert ReplicaSet.derive_pool_width(3, 4, 1) == 2
+
+    def test_budget_splits_across_shards(self):
+        # 8 workers over 4 shards -> share 2 -> width 3 (capped by R+1=4).
+        assert ReplicaSet.derive_pool_width(3, 4, 8) == 3
+
+    def test_engine_budget_reaches_replica_sets(self):
+        relation = random_relation(random.Random(11), max_rows=30)
+        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
+        with ShardedEngine(index, workers=8) as engine:
+            index.replicate(2)
+            expected = ReplicaSet.derive_pool_width(2, 2, 8)
+            for shard in index.shards:
+                assert shard.pool_width == expected
+            # Re-sizing the engine re-derives the hedge widths too.
+            engine.set_workers(2)
+            narrowed = ReplicaSet.derive_pool_width(2, 2, 2)
+            for shard in index.shards:
+                assert shard.pool_width == narrowed
+
+    def test_standalone_set_keeps_legacy_width(self):
+        relation = random_relation(random.Random(12), max_rows=20)
+        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
+        index.replicate(2)
+        for shard in index.shards:
+            assert shard.pool_width == 3  # min(4, R + 1), no budget
+
+    def test_set_pool_budget_rejects_zero(self):
+        relation = random_relation(random.Random(13), max_rows=20)
+        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
+        index.replicate(2)
+        with pytest.raises(ValueError):
+            index.shards[0].set_pool_budget(0)
+
+
+# Teardown on exception paths.
+class TestTeardownAfterFailure:
+    def test_thread_close_after_failed_execute(self):
+        rng = random.Random(21)
+        relation = random_relation(rng, max_rows=30)
+        engine = ShardedEngine.from_relation(
+            relation, RANDOM_ORDERING, shards=2, workers=2,
+            policy=ResiliencePolicy(max_retries=0),
+        )
+        engine.inject_chaos(ChaosPolicy.crash_shards(0, 1))
+        with pytest.raises(Exception):
+            engine.search(random_query(rng), 5, algorithm="probe")
+        engine.close()  # joins the fan-out threads despite the failure
+        assert engine._pool is None
+        engine.close()  # and stays idempotent
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
 import threading
 import time
 import urllib.parse
@@ -509,6 +510,33 @@ class TestServerEndToEnd:
             status, _, _ = outcome["answer"]
             assert status == 200  # in-flight answer completed, not cut off
         serving.close()
+
+    def test_drain_closes_idle_keep_alive_without_traceback(
+            self, registry, caplog):
+        """Regression: drain left an idle keep-alive handler parked in
+        ``read_request``; the loop's shutdown then cancelled it and
+        asyncio's stream callback logged a ``CancelledError`` traceback."""
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        thread = ServerThread(serving, ServerConfig(), registry=registry)
+        thread.start()
+        host, port = thread.address
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            connection.request("GET", f"/search?q={QUERY}")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                thread.stop()  # the connection stays open and idle
+        finally:
+            connection.close()
+            serving.close()
+        assert not thread._thread.is_alive()
+        logged = [record for record in caplog.records
+                  if record.name == "asyncio"]
+        assert not [record for record in logged if record.exc_info], [
+            record.getMessage() for record in logged]
 
     def test_metrics_endpoints_both_formats(self, figure1_server):
         address = figure1_server.address
